@@ -1,10 +1,10 @@
 // Benchmarks regenerating the paper's quantitative artifacts, one family
-// per experiment of DESIGN.md §3. Run:
+// per experiment of cmd/experiments (EXP-1..7). Run:
 //
 //	go test -bench=. -benchmem
 //
-// cmd/experiments prints the corresponding full tables; EXPERIMENTS.md
-// records a reference run of both.
+// cmd/experiments prints the corresponding full tables; BENCH_baseline.json
+// records a reference run of these benchmarks.
 package codsim
 
 import (
@@ -31,6 +31,13 @@ import (
 	"codsim/internal/trace"
 	"codsim/internal/transport"
 )
+
+// setupCtx bounds a benchmark's untimed setup waits at 5 s.
+func setupCtx(b *testing.B) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	b.Cleanup(cancel)
+	return ctx
+}
 
 func benchCB() cb.Config {
 	return cb.Config{
@@ -211,7 +218,7 @@ func BenchmarkCBRoutingRemote(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !sub.WaitMatched(5 * time.Second) {
+	if sub.WaitMatchedContext(setupCtx(b)) != nil {
 		b.Fatal("channel never established")
 	}
 	attrs := fom.CraneState{Stability: 1}.Encode()
@@ -263,10 +270,10 @@ func benchRemoteDelivery(b *testing.B, opts ...cb.SubscribeOption) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !sub.WaitMatched(5 * time.Second) {
+	if sub.WaitMatchedContext(setupCtx(b)) != nil {
 		b.Fatal("channel never established")
 	}
-	if !pub.WaitChannels(1, 5*time.Second) {
+	if pub.WaitChannelsContext(setupCtx(b), 1) != nil {
 		b.Fatal("publisher never linked")
 	}
 	attrs := fom.CraneState{Stability: 1}.Encode()
@@ -309,10 +316,10 @@ func BenchmarkCBThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !sub.WaitMatched(5 * time.Second) {
+	if sub.WaitMatchedContext(setupCtx(b)) != nil {
 		b.Fatal("channel never established")
 	}
-	if !pub.WaitChannels(1, 5*time.Second) {
+	if pub.WaitChannelsContext(setupCtx(b), 1) != nil {
 		b.Fatal("publisher never linked")
 	}
 	attrs := fom.CraneState{Stability: 1}.Encode()
@@ -368,7 +375,10 @@ func BenchmarkChannelSetup(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !sub.WaitMatched(10 * time.Second) {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err = sub.WaitMatchedContext(ctx)
+		cancel()
+		if err != nil {
 			b.Fatal("never matched")
 		}
 		b.StopTimer()
@@ -460,53 +470,18 @@ func benchCollision(b *testing.B, brute bool) {
 
 // --- EXP-6: licensing exam (§3.5) ---------------------------------------
 
-// BenchmarkExamScenario: one op = the complete licensing exam — drive,
-// lift, traverse, return — run headless with the autopilot at 60 Hz.
-func BenchmarkExamScenario(b *testing.B) {
-	ter, err := terrain.GenerateSite(terrain.DefaultSite())
-	if err != nil {
-		b.Fatal(err)
-	}
-	course := scenario.DefaultCourse()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		model, err := dynamics.New(dynamics.DefaultConfig(), ter, course.Start, course.StartYaw)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cargoPos := course.Circle
-		cargoPos.Y = ter.HeightAt(cargoPos.X, cargoPos.Z) + 0.6
-		model.PlaceCargo(cargoPos, course.CargoMass)
-		eng := scenario.NewEngine(course, crane.DefaultSpec(), scenario.DefaultScore())
-		eng.Start()
-		ap := trace.NewAutopilot(course)
-		const dt = 1.0 / 60
-		for simT := 0.0; simT < 600; simT += dt {
-			scen := eng.State()
-			if scen.Phase == fom.PhaseComplete || scen.Phase == fom.PhaseFailed {
-				break
-			}
-			in := ap.Control(model.State(), scen, dt)
-			model.Step(in, dt)
-			eng.Step(model.State(), dt)
-		}
-		if eng.Phase() != fom.PhaseComplete {
-			b.Fatalf("exam did not complete: %v", eng.Phase())
-		}
-	}
-}
-
 // BenchmarkScenarioLibrary: one op = one shipped scenario completed
-// headless by the generalized autopilot — the per-scenario cost floor the
-// batch runner multiplies out.
+// headless by the generalized autopilot on one reused trace.Runner — the
+// per-scenario cost floor a batch or campaign worker slot multiplies out.
 func BenchmarkScenarioLibrary(b *testing.B) {
+	ctx := context.Background()
 	for _, spec := range scenario.Library() {
 		spec := spec
 		b.Run(spec.Name, func(b *testing.B) {
+			r := trace.NewRunner()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := trace.Run(spec, 900)
+				res, err := r.RunSkill(ctx, spec, 900, trace.SkillProfile{})
 				if err != nil {
 					b.Fatal(err)
 				}

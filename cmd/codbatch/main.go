@@ -484,7 +484,7 @@ func runCoordinator(ctx context.Context, plane *obs.Plane, lanAddr, workerList s
 	fmt.Printf("dispatching %d jobs (%d scenarios × %d) to %d workers\n",
 		len(jobs), len(selection), repeat, len(workers))
 	start := time.Now()
-	recs, err := coord.Run(ctx, jobs)
+	recs, err := coord.RunStream(ctx, dist.SliceJobs(jobs))
 	if err != nil {
 		// Persist whatever completed before reporting the failure.
 		if outPath != "" && len(recs) > 0 {

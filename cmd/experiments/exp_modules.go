@@ -206,9 +206,13 @@ func examRun(careless bool, quick bool) error {
 	cargoPos.Y = ter.HeightAt(cargoPos.X, cargoPos.Z) + 0.6
 	model.PlaceCargo(cargoPos, course.CargoMass)
 
-	eng := scenario.NewEngine(course, crane.DefaultSpec(), scenario.DefaultScore())
+	spec := scenario.SpecFromCourse("exam", "Licensing exam", course)
+	eng, err := scenario.NewEngineSpec(spec, crane.DefaultSpec())
+	if err != nil {
+		return err
+	}
 	eng.Start()
-	ap := trace.NewAutopilot(course)
+	ap := trace.New(spec)
 
 	const dt = 1.0 / 60
 	tbl := metrics.NewTable("t (s)", "phase", "score", "collisions", "swing°", "luff°", "cable m", "boom m")

@@ -1,7 +1,7 @@
-// Command experiments regenerates every quantitative artifact of the paper
-// (see DESIGN.md §3 and EXPERIMENTS.md): the §4 surround-view frame-rate
-// measurement and the behaviours behind Figures 1–10. Each experiment
-// prints a table; EXPERIMENTS.md records a reference run.
+// Command experiments regenerates the paper's quantitative artifacts: the
+// §4 surround-view frame-rate measurement and the behaviours behind
+// Figures 1–10. Each experiment prints its table to stdout; no reference
+// run is checked in.
 //
 // Usage:
 //

@@ -370,19 +370,3 @@ func decodeReflect(a wire.AttrSet, f *fieldCodec, v reflect.Value) bool {
 		return ok
 	}
 }
-
-// encode packs one struct value into a fresh AttrSet — the reflect-value
-// shim over encodeInto, kept for callers without an addressable T.
-func (c *codec) encode(v reflect.Value) wire.AttrSet {
-	pv := reflect.New(c.typ)
-	pv.Elem().Set(v)
-	a := wire.NewAttrSet(len(c.fields))
-	c.encodeInto(&a, pv.UnsafePointer())
-	return a
-}
-
-// decode unpacks an AttrSet into dst (an addressable struct value) — the
-// reflect-value shim over decodeInto.
-func (c *codec) decode(a wire.AttrSet, dst reflect.Value) error {
-	return c.decodeInto(a, dst.Addr().UnsafePointer())
-}

@@ -41,8 +41,8 @@
 // derate, windy lift, night precision placement, tandem beam lift,
 // staggered two-crane yard), and specs serialize to JSON
 // (scenario.LoadSpecDir reads a directory of them); sim.Config.Scenario
-// loads any of them — or your own — into the full federation, trace.Run
-// executes one headless, and sim.RunBatch runs N federations
+// loads any of them — or your own — into the full federation,
+// trace.Runner executes one headless, and sim.RunBatch runs N federations
 // concurrently. cmd/codbatch is the CLI, locally or sharded across
 // worker hosts with -serve/-coordinator, persisting per-run JSON-lines
 // records with percentile, regression and trend reports (-trend dir/).
@@ -78,6 +78,6 @@
 // yield realistic score distributions.
 //
 // The benchmarks in bench_test.go regenerate the paper's quantitative
-// artifacts; cmd/experiments prints the full tables recorded in
-// EXPERIMENTS.md, and BENCH_baseline.json records a reference run.
+// artifacts; cmd/experiments prints the full tables, and
+// BENCH_baseline.json records a reference run of the benchmarks.
 package codsim

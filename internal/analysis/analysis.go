@@ -14,14 +14,15 @@
 //   - layering: the SDK boundary PR 1 established, as an import table —
 //     cmd/ and examples/ ride the public cod SDK, never internal/cb,
 //     internal/wire or internal/transport; internal/dist stays headless.
-//   - ctxwait: no duration-shim waits where a context-aware variant
-//     exists outside the documented legacy shims.
+//   - ctxwait: no duration waits (Subscription.Next) where the
+//     context-aware NextContext fits, outside allowlisted fixed-cadence
+//     loops.
 //   - errwrap: fmt.Errorf must wrap error operands with %w, and sentinel
 //     errors are matched with errors.Is, never ==.
 //
 // The suite deliberately analyzes production files only (no _test.go):
 // the invariants guard what ships, and tests legitimately measure wall
-// time or poke at legacy shims.
+// time or drive timed receives directly.
 //
 // Findings are suppressed through an explicit allowlist (see Allow and
 // DefaultAllowlist in config.go) keyed on analyzer, package and a

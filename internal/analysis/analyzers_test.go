@@ -14,9 +14,8 @@ import (
 // boundary-scoped shadows (codsim/cmd/layerfix). The determinism
 // fixtures shadow real declared-deterministic packages
 // (codsim/internal/scenario, codsim/internal/mathx) and therefore get
-// their own root, testdata/src_determinism — the ctxwait fixture imports
-// codsim/internal/trace, which must keep seeing the real scenario
-// package, not the shadow.
+// their own root, testdata/src_determinism, so that every fixture in the
+// shared root keeps importing the real packages, not the shadows.
 
 func determinismRoot() string {
 	return filepath.Join(analysis.Testdata(), "..", "src_determinism")

@@ -34,15 +34,15 @@ var DefaultAllowlist = []AllowEntry{
 		Pkg:      "codsim/internal/displaysync",
 		Detail:   "serve",
 		Reason: "the swap-lock server polls FRAME READY at a fixed cadence " +
-			"between stall-reaping passes; the duration shim is the documented " +
-			"legacy form for this pre-SDK module and allocates no context per frame",
+			"between stall-reaping passes; Next is the zero-alloc timed receive " +
+			"and allocates no context per frame",
 	},
 	{
 		Analyzer: "ctxwait",
 		Pkg:      "codsim/internal/displaysync",
 		Detail:   "WaitSwap",
-		Reason: "WaitSwap's deadline loop re-arms the shim with the remaining " +
-			"budget each FRAME SWAP; same documented legacy-module exception as serve",
+		Reason: "WaitSwap's deadline loop re-arms the zero-alloc timed receive " +
+			"with the remaining budget each FRAME SWAP; same reason as serve",
 	},
 }
 

@@ -5,38 +5,30 @@ import (
 	"go/types"
 )
 
-// shimMethod identifies one duration-shim method and its context-aware
-// replacement.
-type shimMethod struct {
+// durationWait identifies one duration-parameter wait method and its
+// context-aware replacement.
+type durationWait struct {
 	pkg, recv, name, ctxVariant string
 }
 
-// waitShims are the legacy duration-parameter wait forms retrofitted
-// with context variants in PR 1/PR 3. New code takes a context: a
-// duration shim cannot be canceled early, composes poorly with
-// deadlines, and hides the caller's lifetime. The defining package of
-// each shim is exempt — the shims are documented legacy surface and
-// delegate to the context forms internally.
-var waitShims = []shimMethod{
+// durationWaits are the duration-parameter wait forms that have a
+// context-aware sibling. Subscription.Next is the allocation-free timed
+// receive (buffered data skips the clock, the timeout rides a pooled
+// timer) for fixed-cadence loops that allowlist it; other code takes a
+// context, because a duration wait cannot be canceled early, composes
+// poorly with deadlines, and hides the caller's lifetime. The defining
+// package is exempt.
+var durationWaits = []durationWait{
 	{"codsim/internal/cb", "Subscription", "Next", "NextContext"},
-	{"codsim/internal/cb", "Subscription", "WaitMatched", "WaitMatchedContext"},
-	{"codsim/internal/cb", "Publication", "WaitChannels", "WaitChannelsContext"},
-	{"codsim/internal/sim", "Cluster", "WaitExam", "WaitExamContext"},
 }
 
-// waitShimFuncs are package-level legacy functions with context
-// siblings.
-var waitShimFuncs = []shimMethod{
-	{"codsim/internal/trace", "", "Run", "RunContext"},
-}
-
-// CtxWait flags duration-shim waits and legacy blocking entry points
-// where a context-aware variant exists, outside the shims' own defining
-// packages and the allowlisted legacy consumers (displaysync's
-// fixed-cadence swap-lock loop keeps the shim deliberately).
+// CtxWait flags duration waits where a context-aware variant exists,
+// outside the defining package and the allowlisted fixed-cadence
+// consumers (displaysync's swap-lock loop keeps the zero-alloc timed
+// receive deliberately).
 var CtxWait = &Analyzer{
 	Name: "ctxwait",
-	Doc:  "use NextContext/WaitMatchedContext/WaitChannelsContext/WaitExamContext/RunContext instead of the duration-shim legacy forms",
+	Doc:  "use NextContext instead of the duration form Subscription.Next outside allowlisted fixed-cadence loops",
 	Run:  runCtxWait,
 }
 
@@ -51,28 +43,20 @@ func runCtxWait(pass *Pass) error {
 			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() == pass.Path {
 				return true
 			}
-			var hit *shimMethod
-			if recv := recvTypeName(fn); recv != "" {
-				for i, s := range waitShims {
-					if s.pkg == fn.Pkg().Path() && s.recv == recv && s.name == fn.Name() {
-						hit = &waitShims[i]
-						break
-					}
-				}
-			} else {
-				for i, s := range waitShimFuncs {
-					if s.pkg == fn.Pkg().Path() && s.name == fn.Name() {
-						hit = &waitShimFuncs[i]
-						break
-					}
+			var hit *durationWait
+			recv := recvTypeName(fn)
+			for i, s := range durationWaits {
+				if s.pkg == fn.Pkg().Path() && s.recv == recv && s.name == fn.Name() {
+					hit = &durationWaits[i]
+					break
 				}
 			}
 			if hit == nil || pass.Allowed(pass.EnclosingFunc(call.Pos())) {
 				return true
 			}
 			pass.Reportf(call.Pos(),
-				"duration-shim %s.%s: use %s (context-aware waits compose with cancellation and deadlines)",
-				recvOrPkg(fn), fn.Name(), hit.ctxVariant)
+				"duration wait %s.%s: use %s (context-aware waits compose with cancellation and deadlines)",
+				recv, fn.Name(), hit.ctxVariant)
 			return true
 		})
 	}
@@ -94,11 +78,4 @@ func recvTypeName(fn *types.Func) string {
 		return named.Obj().Name()
 	}
 	return ""
-}
-
-func recvOrPkg(fn *types.Func) string {
-	if r := recvTypeName(fn); r != "" {
-		return r
-	}
-	return fn.Pkg().Name()
 }

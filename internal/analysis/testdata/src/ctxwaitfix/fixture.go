@@ -1,5 +1,5 @@
-// Seeded-violation fixture for the ctxwait analyzer: every duration-shim
-// wait with a context-aware sibling, plus the accepted context forms.
+// Seeded-violation fixture for the ctxwait analyzer: the duration form
+// of Subscription.Next, plus the accepted context forms.
 package ctxwaitfix
 
 import (
@@ -7,38 +7,19 @@ import (
 	"time"
 
 	"codsim/internal/cb"
-	"codsim/internal/scenario"
-	"codsim/internal/trace"
 )
 
-func shimNext(s *cb.Subscription) {
-	s.Next(time.Second) // want `duration-shim Subscription\.Next: use NextContext`
-}
-
-func shimWaitMatched(s *cb.Subscription) bool {
-	return s.WaitMatched(2 * time.Second) // want `duration-shim Subscription\.WaitMatched: use WaitMatchedContext`
-}
-
-func shimWaitChannels(p *cb.Publication) bool {
-	return p.WaitChannels(1, time.Second) // want `duration-shim Publication\.WaitChannels: use WaitChannelsContext`
-}
-
-func shimTraceRun(spec scenario.Spec) error {
-	_, err := trace.Run(spec, 10) // want `duration-shim trace\.Run: use RunContext`
-	return err
+func timedNext(s *cb.Subscription) {
+	s.Next(time.Second) // want `duration wait Subscription\.Next: use NextContext`
 }
 
 // contextForms are the accepted replacements: never flagged.
-func contextForms(ctx context.Context, s *cb.Subscription, p *cb.Publication, spec scenario.Spec) error {
+func contextForms(ctx context.Context, s *cb.Subscription, p *cb.Publication) error {
 	if err := s.WaitMatchedContext(ctx); err != nil {
 		return err
 	}
 	if _, err := s.NextContext(ctx); err != nil {
 		return err
 	}
-	if err := p.WaitChannelsContext(ctx, 1); err != nil {
-		return err
-	}
-	_, err := trace.RunContext(ctx, spec, 10)
-	return err
+	return p.WaitChannelsContext(ctx, 1)
 }

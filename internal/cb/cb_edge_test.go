@@ -1,6 +1,8 @@
 package cb
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -17,16 +19,18 @@ func TestWaitChannels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No subscribers yet: WaitChannels must time out.
-	if pub.WaitChannels(1, 30*time.Millisecond) {
-		t.Fatal("WaitChannels succeeded with no subscribers")
+	// No subscribers yet: the wait must hit its deadline.
+	short, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if err := pub.WaitChannelsContext(short, 1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("WaitChannelsContext with no subscribers = %v, want deadline exceeded", err)
 	}
 	subNode := newBackbone(t, lan, "sub")
 	if _, err := subNode.SubscribeObjectClass("s", "State"); err != nil {
 		t.Fatal(err)
 	}
-	if !pub.WaitChannels(1, waitLong) {
-		t.Fatal("WaitChannels never saw the channel")
+	if err := pub.WaitChannelsContext(ctxLong(t), 1); err != nil {
+		t.Fatalf("WaitChannelsContext never saw the channel: %v", err)
 	}
 	if pub.Channels() != 1 {
 		t.Errorf("Channels = %d", pub.Channels())
@@ -45,7 +49,7 @@ func TestTablesAcrossNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctxLong(t)) != nil {
 		t.Fatal("not matched")
 	}
 	pubs, _ := pubNode.Tables()
@@ -147,7 +151,7 @@ func TestSubscriptionCloseDuringTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctxLong(t)) != nil {
 		t.Fatal("not matched")
 	}
 	var wg sync.WaitGroup
@@ -185,7 +189,7 @@ func TestSubscriberRestartRematches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if !sub.WaitMatched(waitLong) {
+		if sub.WaitMatchedContext(ctxLong(t)) != nil {
 			t.Fatalf("round %d: restarted subscriber never re-matched", round)
 		}
 		if err := pub.Update(float64(round), attrsWith(float64(round))); err != nil {
@@ -216,7 +220,7 @@ func TestPublisherRestartRematches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if !sub.WaitMatched(waitLong) {
+		if sub.WaitMatchedContext(ctxLong(t)) != nil {
 			t.Fatalf("round %d: subscriber never matched restarted publisher", round)
 		}
 		if err := pub.Update(float64(round), attrsWith(float64(round))); err != nil {
@@ -264,6 +268,131 @@ func TestMailboxNextAfterClose(t *testing.T) {
 		}
 	case <-time.After(waitLong):
 		t.Fatal("Next did not unblock on close")
+	}
+}
+
+// errNoData stands in for Next's bare false in TestMailboxWaitForms, so
+// both receive forms report through one error-shaped signature.
+var errNoData = errors.New("no data")
+
+// TestMailboxWaitForms drives both blocking receives — Next's pooled
+// timer and NextContext's done channel — through the mailbox's one wait
+// loop: buffered data returns without waiting (even with the budget
+// already spent), a push that races the timeout or cancellation is
+// delivered rather than dropped, and Close unblocks a parked wait.
+func TestMailboxWaitForms(t *testing.T) {
+	forms := []struct {
+		name string
+		// recv waits at most d for a reflection.
+		recv func(s *Subscription, d time.Duration) (Reflection, error)
+		// expired and closed are the errors for a spent budget and for a
+		// closed subscription.
+		expired, closed error
+	}{
+		{
+			name: "Next",
+			recv: func(s *Subscription, d time.Duration) (Reflection, error) {
+				if r, ok := s.Next(d); ok {
+					return r, nil
+				}
+				return Reflection{}, errNoData
+			},
+			expired: errNoData,
+			closed:  errNoData,
+		},
+		{
+			name: "NextContext",
+			recv: func(s *Subscription, d time.Duration) (Reflection, error) {
+				ctx, cancel := context.WithTimeout(context.Background(), d)
+				defer cancel()
+				return s.NextContext(ctx)
+			},
+			expired: context.DeadlineExceeded,
+			closed:  ErrHandleClosed,
+		},
+	}
+	for _, f := range forms {
+		t.Run(f.name, func(t *testing.T) {
+			newSub := func(t *testing.T) *Subscription {
+				b := newBackbone(t, transport.NewMemLAN(), "solo")
+				sub, err := b.SubscribeObjectClass("s", "State", WithDropOldest(), WithQueue(1024))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sub
+			}
+
+			t.Run("buffered", func(t *testing.T) {
+				sub := newSub(t)
+				sub.mbox.push(Reflection{Seq: 1})
+				sub.mbox.push(Reflection{Seq: 2})
+				start := time.Now()
+				if r, err := f.recv(sub, waitLong); err != nil || r.Seq != 1 {
+					t.Fatalf("recv = seq %d, %v; want seq 1", r.Seq, err)
+				}
+				if el := time.Since(start); el > waitLong/2 {
+					t.Errorf("buffered receive waited %v", el)
+				}
+				// A spent budget still yields data already buffered.
+				if r, err := f.recv(sub, 0); err != nil || r.Seq != 2 {
+					t.Fatalf("recv with spent budget = seq %d, %v; want seq 2", r.Seq, err)
+				}
+				if _, err := f.recv(sub, 5*time.Millisecond); !errors.Is(err, f.expired) {
+					t.Fatalf("recv on empty mailbox = %v, want %v", err, f.expired)
+				}
+			})
+
+			t.Run("race", func(t *testing.T) {
+				// Pushes land at about the wait budget, so many receives
+				// see their timer or deadline fire as data arrives. Every
+				// reflection must still come out once, in order.
+				sub := newSub(t)
+				const n = 200
+				go func() {
+					for i := uint32(1); i <= n; i++ {
+						time.Sleep(100 * time.Microsecond)
+						sub.mbox.push(Reflection{Seq: i})
+					}
+				}()
+				deadline := time.Now().Add(10 * waitLong)
+				for want := uint32(1); want <= n; {
+					if time.Now().After(deadline) {
+						t.Fatalf("stuck waiting for seq %d", want)
+					}
+					r, err := f.recv(sub, 100*time.Microsecond)
+					if errors.Is(err, f.expired) {
+						continue
+					}
+					if err != nil || r.Seq != want {
+						t.Fatalf("recv = seq %d, %v; want seq %d", r.Seq, err, want)
+					}
+					want++
+				}
+			})
+
+			t.Run("close", func(t *testing.T) {
+				sub := newSub(t)
+				got := make(chan error, 1)
+				go func() {
+					// A budget well past the test's own deadline: only
+					// Close can end this wait in time.
+					_, err := f.recv(sub, 4*waitLong)
+					got <- err
+				}()
+				time.Sleep(10 * time.Millisecond)
+				if err := sub.Close(); err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case err := <-got:
+					if !errors.Is(err, f.closed) {
+						t.Errorf("recv after Close = %v, want %v", err, f.closed)
+					}
+				case <-time.After(waitLong):
+					t.Fatal("Close did not unblock the wait")
+				}
+			})
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package cb
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -32,6 +33,15 @@ func newBackbone(t *testing.T, lan transport.LAN, node string) *Backbone {
 }
 
 const waitLong = 3 * time.Second
+
+// ctxLong returns a context that expires after waitLong, canceled when the
+// test ends.
+func ctxLong(t *testing.T) context.Context {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), waitLong)
+	t.Cleanup(cancel)
+	return ctx
+}
 
 func attrsWith(val float64) wire.AttrSet {
 	a := wire.AttrSet{}
@@ -112,7 +122,7 @@ func TestRemotePubSub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctxLong(t)) != nil {
 		t.Fatal("virtual channel never established")
 	}
 
@@ -146,7 +156,7 @@ func TestRemotePublisherStartsLate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctxLong(t)) != nil {
 		t.Fatal("late publisher never matched (re-broadcast failed)")
 	}
 	if err := pub.Update(1, attrsWith(1)); err != nil {
@@ -172,7 +182,7 @@ func TestDynamicJoinExtraDisplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub1.WaitMatched(waitLong) {
+	if sub1.WaitMatchedContext(ctxLong(t)) != nil {
 		t.Fatal("first display not matched")
 	}
 	// Steady-state traffic flowing...
@@ -189,7 +199,7 @@ func TestDynamicJoinExtraDisplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub2.WaitMatched(waitLong) {
+	if sub2.WaitMatchedContext(ctxLong(t)) != nil {
 		t.Fatal("hot-added display not matched")
 	}
 	if err := pub.Update(2, attrsWith(2)); err != nil {
@@ -223,7 +233,7 @@ func TestFanOutOnePublisherManySubscribers(t *testing.T) {
 		subs[i] = s
 	}
 	for i, s := range subs {
-		if !s.WaitMatched(waitLong) {
+		if s.WaitMatchedContext(ctxLong(t)) != nil {
 			t.Fatalf("subscriber %d unmatched", i)
 		}
 	}
@@ -473,7 +483,7 @@ func TestSequenceNumbersMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctxLong(t)) != nil {
 		t.Fatal("not matched")
 	}
 	const n = 20
@@ -508,7 +518,7 @@ func TestNullMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctxLong(t)) != nil {
 		t.Fatal("not matched")
 	}
 	if err := pub.SendNull(4.5); err != nil {
@@ -660,7 +670,7 @@ func TestPublisherNodeDeathRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctxLong(t)) != nil {
 		t.Fatal("initial match failed")
 	}
 	if err := pub1.Update(1, attrsWith(1)); err != nil {
@@ -689,7 +699,7 @@ func TestPublisherNodeDeathRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctxLong(t)) != nil {
 		t.Fatal("replacement publisher never matched")
 	}
 	if err := pub2.Update(2, attrsWith(2)); err != nil {
@@ -717,7 +727,7 @@ func TestLossyLANStillConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctxLong(t)) != nil {
 		t.Fatal("never converged under 40% loss")
 	}
 }
@@ -733,7 +743,7 @@ func TestEstablishLatencyRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctxLong(t)) != nil {
 		t.Fatal("not matched")
 	}
 	if subNode.Stats().EstablishLatency.Count() != 1 {
@@ -799,7 +809,7 @@ func TestUDPLANBackbone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctxLong(t)) != nil {
 		t.Fatal("no channel over real UDP/TCP")
 	}
 	if err := pub.Update(3.5, attrsWith(8)); err != nil {

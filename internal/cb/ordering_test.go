@@ -82,7 +82,7 @@ func TestOrderedDeliveryRemoteParallelUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctxLong(t)) != nil {
 		t.Fatal("channel never established")
 	}
 

@@ -13,7 +13,7 @@ import (
 // waitChannels blocks until the publication routes into n channels.
 func waitChannels(t *testing.T, pub *Publication, n int) {
 	t.Helper()
-	if !pub.WaitChannels(n, waitLong) {
+	if pub.WaitChannelsContext(ctxLong(t), n) != nil {
 		t.Fatalf("publication never reached %d channel(s)", n)
 	}
 }
@@ -43,7 +43,7 @@ func TestLatestValueStalledSubscriberConflates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctxLong(t)) != nil {
 		t.Fatal("never matched")
 	}
 	waitChannels(t, pubA, 1)
@@ -130,7 +130,7 @@ func TestReliableBackpressureStallsAndDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctxLong(t)) != nil {
 		t.Fatal("never matched")
 	}
 	waitChannels(t, pub, 1)
@@ -291,7 +291,7 @@ func TestReliableSubscriberDeathReleasesPublisher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctxLong(t)) != nil {
 		t.Fatal("never matched")
 	}
 	waitChannels(t, pub, 1)
@@ -336,7 +336,7 @@ func TestLegacyHandshakeGetsDropOldest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctxLong(t)) != nil {
 		t.Fatal("never matched")
 	}
 	waitChannels(t, pub, 1)
@@ -402,7 +402,7 @@ func TestSlowSubscriberMemLANSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stateSub.WaitMatched(waitLong) || !cmdSub.WaitMatched(waitLong) {
+	if stateSub.WaitMatchedContext(ctxLong(t)) != nil || cmdSub.WaitMatchedContext(ctxLong(t)) != nil {
 		t.Fatal("never matched")
 	}
 	waitChannels(t, statePub, 1)

@@ -30,7 +30,7 @@ func TestPoolNoAlias(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
-	if !sub.WaitMatched(waitLong) {
+	if sub.WaitMatchedContext(ctxLong(t)) != nil {
 		t.Fatal("subscription never matched")
 	}
 

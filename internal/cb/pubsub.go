@@ -2,6 +2,7 @@ package cb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -589,14 +590,6 @@ func (p *Publication) WaitChannelsContext(ctx context.Context, n int) error {
 	return waitCond(ctx, func() bool { return p.Channels() >= n })
 }
 
-// WaitChannels is the duration-based shim over WaitChannelsContext; it
-// reports whether n channels came up within the timeout.
-func (p *Publication) WaitChannels(n int, timeout time.Duration) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return p.WaitChannelsContext(ctx, n) == nil
-}
-
 // waitCond polls cond once per millisecond until it holds (nil) or ctx is
 // done (ctx.Err()). The backbone's state transitions have no subscribable
 // edge, so condition waits poll — at this period the cost is negligible
@@ -746,9 +739,11 @@ func (s *Subscription) Latest() (Reflection, bool) {
 // or the subscription closes (ErrHandleClosed). A reflection that races
 // with the cancellation is still delivered.
 func (s *Subscription) NextContext(ctx context.Context) (Reflection, error) {
-	r, err := s.mbox.nextCtx(ctx)
+	r, err := waitMailbox(s.mbox, ctx.Done())
 	if err == nil {
 		s.consumed(r.Channel)
+	} else if errors.Is(err, errWaitDone) {
+		err = ctx.Err()
 	}
 	return r, err
 }
@@ -1106,9 +1101,13 @@ func (m *mailbox) poll() (Reflection, bool) {
 // Stop-and-drain, so a pooled timer is never pending.
 var timerPool sync.Pool
 
+// errWaitDone reports that waitMailbox's done channel fired with nothing
+// buffered; NextContext maps it to ctx.Err().
+var errWaitDone = errors.New("cb: wait done")
+
 // next is poll-then-wait with a plain timeout: the blocking form of the
-// consumer hot path. Buffered data returns immediately; otherwise the
-// wait parks on the mailbox's notify channel against a pooled timer.
+// consumer hot path. Buffered data returns without touching the clock;
+// otherwise the wait parks against a pooled timer.
 func (m *mailbox) next(timeout time.Duration) (Reflection, bool) {
 	if r, ok := m.poll(); ok {
 		return r, true
@@ -1120,36 +1119,23 @@ func (m *mailbox) next(timeout time.Duration) (Reflection, bool) {
 	} else {
 		t = time.NewTimer(timeout)
 	}
-	defer func() {
-		if !t.Stop() {
-			select {
-			case <-t.C:
-			default:
-			}
-		}
-		timerPool.Put(t)
-	}()
-	for {
-		if r, ok := m.poll(); ok {
-			return r, true
-		}
-		m.mu.Lock()
-		closed := m.closed
-		m.mu.Unlock()
-		if closed {
-			return Reflection{}, false
-		}
+	r, err := waitMailbox(m, t.C)
+	if !t.Stop() {
 		select {
-		case <-m.notify:
 		case <-t.C:
-			// A push may have raced with the timeout; prefer data.
-			r, ok := m.poll()
-			return r, ok
+		default:
 		}
 	}
+	timerPool.Put(t)
+	return r, err == nil
 }
 
-func (m *mailbox) nextCtx(ctx context.Context) (Reflection, error) {
+// waitMailbox is the mailbox's one wait loop: poll, check for Close
+// (ErrHandleClosed), then park on the notify channel until a push or
+// done fires (errWaitDone). A push that races with done is still
+// delivered. done is generic so a timer channel and ctx.Done() both fit
+// without an adapter goroutine or allocation.
+func waitMailbox[T any](m *mailbox, done <-chan T) (Reflection, error) {
 	for {
 		if r, ok := m.poll(); ok {
 			return r, nil
@@ -1162,12 +1148,11 @@ func (m *mailbox) nextCtx(ctx context.Context) (Reflection, error) {
 		}
 		select {
 		case <-m.notify:
-		case <-ctx.Done():
-			// A push may have raced with the cancellation; prefer data.
+		case <-done:
 			if r, ok := m.poll(); ok {
 				return r, nil
 			}
-			return Reflection{}, ctx.Err()
+			return Reflection{}, errWaitDone
 		}
 	}
 }

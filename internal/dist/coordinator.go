@@ -37,27 +37,22 @@ type CoordinatorConfig struct {
 	MaxAttempts int
 	// Window bounds how many jobs RunStream holds in flight (pending or
 	// granted) ahead of the workers before pulling more from its source
-	// (default 64). Run ignores it — a materialized list is already paid
-	// for.
+	// (default 64).
 	Window int
 	// Log receives dispatch-state transitions (grants, results,
 	// re-dispatches) as structured records with consistent field names
-	// (sweep, job, worker, attempt, span). Nil falls back to Logf.
+	// (sweep, job, worker, attempt, span). Nil is silent (obs.Nop).
 	Log *slog.Logger
-	// Logf is the legacy printf hook, kept as a compatibility shim: when
-	// Log is nil it is adapted into a slog handler (obs.NewLogfLogger).
-	// Nil too is silent.
-	Logf func(format string, args ...any)
 	// Spans, when set, records per-job phase latencies (the queue phase is
 	// observed here, on the coordinator's clock); nil drops them.
 	Spans *obs.Spans
 }
 
-// logger resolves the configured structured sink, shimming Logf.
+// logger resolves the configured structured sink.
 func (c CoordinatorConfig) logger() *slog.Logger {
 	log := c.Log
 	if log == nil {
-		log = obs.NewLogfLogger(c.Logf)
+		log = obs.Nop()
 	}
 	return log.With("sweep", c.Sweep)
 }
@@ -358,21 +353,16 @@ type jobState struct {
 	rec      Record
 }
 
-// Run dispatches the jobs and blocks until every one has a Record or ctx
-// is done. Records come back sorted by job ID; on cancellation the
-// partial set is returned with ctx.Err(). Jobs that exhaust MaxAttempts
-// get a synthetic failed Record rather than stalling the sweep.
-func (c *Coordinator) Run(ctx context.Context, jobs []Job) ([]Record, error) {
-	return c.RunStream(ctx, SliceJobs(jobs))
-}
-
-// RunStream is Run over an incremental work list: it keeps at most Window
-// jobs in flight, pulling more from the source as results free slots, and
-// blocks until the source is exhausted and every pulled job has a Record
-// (or ctx is done). The source is only ever polled from this goroutine; a
-// source that blocks (a generator certifying its next candidate) delays
-// refills but never the draining of results already in flight by more
-// than one poll.
+// RunStream dispatches the jobs of an incremental work list: it keeps at
+// most Window jobs in flight, pulling more from the source as results
+// free slots, and blocks until the source is exhausted and every pulled
+// job has a Record (or ctx is done). Records come back sorted by job ID;
+// on cancellation the partial set is returned with ctx.Err(). Jobs that
+// exhaust MaxAttempts get a synthetic failed Record rather than stalling
+// the sweep. A materialized job list runs as SliceJobs(jobs). The source
+// is only ever polled from this goroutine; a source that blocks (a
+// generator certifying its next candidate) delays refills but never the
+// draining of results already in flight by more than one poll.
 func (c *Coordinator) RunStream(ctx context.Context, src JobSource) ([]Record, error) {
 	states := make(map[int64]*jobState)
 	var jobs []Job

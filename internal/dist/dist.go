@@ -48,8 +48,8 @@
 // jobs from a JobSource and keeps at most CoordinatorConfig.Window of
 // them in flight, so a procedural campaign (scenario/gen via codbatch
 // -campaign) streams thousands of generated jobs through the sweep
-// without materializing them up front. Run is RunStream over a
-// materialized slice.
+// without materializing them up front; a fixed list runs as
+// RunStream(ctx, SliceJobs(jobs)).
 //
 // Every run persists as one JSON-lines Record (scenario, seed, score,
 // phase, sim/wall time, worker); Report aggregates pass rate and
@@ -60,8 +60,8 @@
 // # Observability
 //
 // Both sides log through log/slog with structured fields (sweep, job,
-// worker, attempt, span) — CoordinatorConfig.Log / WorkerConfig.Log;
-// the legacy Logf hooks remain as a shim. Each job carries a trace-span
+// worker, attempt, span) — CoordinatorConfig.Log / WorkerConfig.Log,
+// silent when nil. Each job carries a trace-span
 // ID minted at dispatch and threaded through announce, grant and the
 // returned Record, with phase latencies (queue, dispatch, run, ack)
 // recorded into an optional obs.Spans histogram — each phase is timed

@@ -114,7 +114,7 @@ func TestCoordinatorWorkersMemLAN(t *testing.T) {
 	}
 
 	jobs := testJobs(12)
-	recs, err := coord.Run(ctx, jobs)
+	recs, err := coord.RunStream(ctx, SliceJobs(jobs))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -193,7 +193,7 @@ func TestRedispatchOnWorkerDeath(t *testing.T) {
 		}
 	}()
 
-	recs, err := coord.Run(ctx, testJobs(12))
+	recs, err := coord.RunStream(ctx, SliceJobs(testJobs(12)))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -261,7 +261,6 @@ func TestUDPLANSweepMatchesLocal(t *testing.T) {
 		defer node.Close()
 		cfg := wcfg
 		cfg.Name = name
-		cfg.Logf = t.Logf
 		w, err := NewWorker(node, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -289,7 +288,6 @@ func TestUDPLANSweepMatchesLocal(t *testing.T) {
 	ccfg.DeadAfter = 5 * time.Second
 	ccfg.JobTimeout = 30 * time.Second
 	ccfg.MaxAttempts = 5
-	ccfg.Logf = t.Logf
 	coord, err := NewCoordinator(cnode, ccfg)
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +305,7 @@ func TestUDPLANSweepMatchesLocal(t *testing.T) {
 	if len(jobs) != want {
 		t.Fatalf("jobs = %d, want %d", len(jobs), want)
 	}
-	recs, err := coord.Run(ctx, jobs)
+	recs, err := coord.RunStream(ctx, SliceJobs(jobs))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -400,7 +398,7 @@ func TestCoordinatorGivesUpAfterMaxAttempts(t *testing.T) {
 	if err := coord.WaitWorkers(ctx, []string{"blackhole"}); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := coord.Run(ctx, testJobs(3))
+	recs, err := coord.RunStream(ctx, SliceJobs(testJobs(3)))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -431,7 +429,7 @@ func TestCoordinatorRunCancel(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	recs, err := coord.Run(ctx, testJobs(2)) // no workers: nothing completes
+	recs, err := coord.RunStream(ctx, SliceJobs(testJobs(2))) // no workers: nothing completes
 	if err == nil {
 		t.Fatal("Run returned nil error with no workers")
 	}
@@ -469,7 +467,7 @@ func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
 		if err := coord.WaitWorkers(ctx, []string{"w1"}); err != nil {
 			t.Fatalf("sweep %d: WaitWorkers: %v", sweep, err)
 		}
-		recs, err := coord.Run(ctx, testJobs(4))
+		recs, err := coord.RunStream(ctx, SliceJobs(testJobs(4)))
 		if err != nil {
 			t.Fatalf("sweep %d: %v", sweep, err)
 		}

@@ -111,7 +111,7 @@ func TestObsLiveSweepScrape(t *testing.T) {
 	if err := coord.WaitWorkers(ctx, []string{"w1"}); err != nil {
 		t.Fatalf("WaitWorkers: %v", err)
 	}
-	recs, err := coord.Run(ctx, testJobs(8))
+	recs, err := coord.RunStream(ctx, SliceJobs(testJobs(8)))
 	stopScrapes()
 	scrapers.Wait()
 	if err != nil {

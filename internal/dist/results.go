@@ -162,7 +162,7 @@ type Group struct {
 	Errors   int
 	Alarms   int64 // instructor alarm lamps lit, summed over the runs
 	Score    Stats // final score percentiles
-	Wall     Stats // wall-clock seconds percentiles
+	Wall     Stats // wall-clock milliseconds percentiles
 	Sim      Stats // simulated seconds percentiles
 	Dispatch Stats // dispatch-latency (ms) percentiles, dist sweeps only
 }
@@ -217,7 +217,7 @@ func groupOf(name string, recs []Record) Group {
 		}
 		g.Alarms += r.Alarms
 		scores = append(scores, r.Score)
-		walls = append(walls, r.WallSec)
+		walls = append(walls, r.WallSec*1000)
 		sims = append(sims, r.SimSec)
 		// Only dist records carry dispatch latency; a mixed or local
 		// result set must not drag the percentiles to zero.
@@ -237,14 +237,14 @@ func groupOf(name string, recs []Record) Group {
 // narrow table.
 func WriteReport(w io.Writer, rep Report) {
 	withDispatch := rep.Total.Dispatch != Stats{}
-	fmt.Fprintf(w, "%-18s %5s %6s %7s %7s  %-17s %-17s",
-		"SCENARIO", "RUNS", "PASS%", "ERRORS", "ALARMS", "SCORE p50/90/99", "WALL-S p50/90/99")
+	fmt.Fprintf(w, "%-18s %5s %6s %7s %7s  %-17s %-23s",
+		"SCENARIO", "RUNS", "PASS%", "ERRORS", "ALARMS", "SCORE p50/90/99", "WALL-MS p50/90/99")
 	if withDispatch {
 		fmt.Fprintf(w, " %-13s", "DISP-MS p50/99")
 	}
 	fmt.Fprintln(w)
 	line := func(g Group) {
-		fmt.Fprintf(w, "%-18s %5d %5.0f%% %7d %7d  %5.1f/%5.1f/%5.1f %5.1f/%5.1f/%5.1f",
+		fmt.Fprintf(w, "%-18s %5d %5.0f%% %7d %7d  %5.1f/%5.1f/%5.1f %7.1f/%7.1f/%7.1f",
 			g.Scenario, g.Runs, g.PassRate()*100, g.Errors, g.Alarms,
 			g.Score.P50, g.Score.P90, g.Score.P99,
 			g.Wall.P50, g.Wall.P90, g.Wall.P99)

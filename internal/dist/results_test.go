@@ -102,6 +102,21 @@ func TestBuildReportAndWrite(t *testing.T) {
 	}
 }
 
+// TestReportWallMillis pins the wall column's resolution: headless runs
+// take a few milliseconds, which a seconds column rounds to 0.0.
+func TestReportWallMillis(t *testing.T) {
+	rec := NewRecord(Job{ID: 1}, sim.BatchResult{Scenario: "a", Wall: 3 * time.Millisecond}, "w")
+	if rec.WallSec != 0.003 {
+		t.Fatalf("WallSec = %v, want 0.003", rec.WallSec)
+	}
+	var sb strings.Builder
+	WriteReport(&sb, BuildReport([]Record{rec}))
+	out := sb.String()
+	if !strings.Contains(out, "WALL-MS") || !strings.Contains(out, "3.0/    3.0/    3.0") {
+		t.Errorf("3 ms run not rendered in milliseconds:\n%s", out)
+	}
+}
+
 func TestCompareFlagsRegressions(t *testing.T) {
 	old := []Record{
 		{Scenario: "a", Passed: true, Score: 90},

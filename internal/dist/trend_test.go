@@ -125,7 +125,7 @@ func TestMemLANTandemSweep(t *testing.T) {
 		t.Fatalf("WaitWorkers: %v", err)
 	}
 	specs := []scenario.Spec{scenario.TandemBeam(), scenario.TwinYard()}
-	recs, err := coord.Run(ctx, JobsFor(specs, 1))
+	recs, err := coord.RunStream(ctx, SliceJobs(JobsFor(specs, 1)))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

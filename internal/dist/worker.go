@@ -38,13 +38,9 @@ type WorkerConfig struct {
 	// Run substitutes the job runner (tests); nil uses DefaultRunner.
 	Run Runner
 	// Log receives job-state transitions as structured records with
-	// consistent field names (sweep, job, attempt, span). Nil falls back
-	// to Logf.
+	// consistent field names (sweep, job, attempt, span). Nil is silent
+	// (obs.Nop).
 	Log *slog.Logger
-	// Logf is the legacy printf hook, kept as a compatibility shim: when
-	// Log is nil it is adapted into a slog handler (obs.NewLogfLogger).
-	// Nil too is silent.
-	Logf func(format string, args ...any)
 	// Spans, when set, records per-job phase latencies (dispatch, run and
 	// ack are observed here, on the worker's clock); nil drops them.
 	Spans *obs.Spans
@@ -137,7 +133,7 @@ func NewWorker(node *cod.Node, cfg WorkerConfig) (*Worker, error) {
 	cfg = cfg.withDefaults(node)
 	log := cfg.Log
 	if log == nil {
-		log = obs.NewLogfLogger(cfg.Logf)
+		log = obs.Nop()
 	}
 	w := &Worker{
 		name:   cfg.Name,

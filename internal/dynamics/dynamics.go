@@ -495,11 +495,13 @@ func (m *Model) stepLatch(in fom.ControlInput) {
 	if in.HookLatch && !m.latchArm {
 		m.latchArm = true
 		if !m.cargoHeld {
-			if u, ok := m.world.latch(m, m.hookPos, m.cfg.LatchDist); ok {
+			// Take the position latch read under the world's lock: a
+			// partner rig already holding the unit rewrites it each tick.
+			if u, pos, ok := m.world.latch(m, m.hookPos, m.cfg.LatchDist); ok {
 				m.cargoHeld = true
 				m.cargoRef = u
 				m.cargoMass = u.mass / float64(u.hooks)
-				m.cargoPos = u.pos
+				m.cargoPos = pos
 				m.events = append(m.events, EventCargoLatched)
 			}
 		}

@@ -92,8 +92,9 @@ func (w *World) AddCargoHooks(pos mathx.Vec3, mass float64, hooks int) int64 {
 // hook slot within latchDist of hookPos. On success the rig joins the
 // holders; a unit reaching its hook count lifts off (removed from the
 // resting list, load carried). Ties go to the later-registered unit,
-// matching the classic single-site scan.
-func (w *World) latch(m *Model, hookPos mathx.Vec3, latchDist float64) (*cargoUnit, bool) {
+// matching the classic single-site scan. It returns the unit with its
+// position read under the lock.
+func (w *World) latch(m *Model, hookPos mathx.Vec3, latchDist float64) (*cargoUnit, mathx.Vec3, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	best, bestD := -1, latchDist
@@ -106,7 +107,7 @@ func (w *World) latch(m *Model, hookPos mathx.Vec3, latchDist float64) (*cargoUn
 		}
 	}
 	if best < 0 {
-		return nil, false
+		return nil, mathx.Vec3{}, false
 	}
 	u := w.resting[best]
 	u.holders = append(u.holders, holderRef{m: m, hook: hookPos})
@@ -115,7 +116,7 @@ func (w *World) latch(m *Model, hookPos mathx.Vec3, latchDist float64) (*cargoUn
 		w.resting = append(w.resting[:best], w.resting[best+1:]...)
 		w.carried = append(w.carried, u)
 	}
-	return u, true
+	return u, u.pos, true
 }
 
 // release unhooks rig m from unit u. A carried unit drops to the ground

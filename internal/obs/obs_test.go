@@ -219,24 +219,6 @@ func TestSpans(t *testing.T) {
 	}
 }
 
-func TestLogfShim(t *testing.T) {
-	var lines []string
-	log := NewLogfLogger(func(format string, args ...any) {
-		lines = append(lines, strings.TrimSpace(strings.ReplaceAll(format, "%s", args[0].(string))))
-	})
-	log = log.With("sweep", int64(42))
-	log.Info("job granted", "job", 7, "worker", "host1")
-	if len(lines) != 1 {
-		t.Fatalf("got %d lines, want 1", len(lines))
-	}
-	want := "job granted sweep=42 job=7 worker=host1"
-	if lines[0] != want {
-		t.Errorf("shim rendered %q, want %q", lines[0], want)
-	}
-	// A nil hook must yield a working discard logger.
-	NewLogfLogger(nil).Info("dropped", "k", "v")
-}
-
 func TestServerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("test_up", "").Inc()

@@ -151,20 +151,6 @@ func NewEngineSpec(spec Spec, craneSpec crane.Spec) (*Engine, error) {
 	return e, nil
 }
 
-// NewEngine builds an engine for the classic linear exam over the given
-// course geometry. For any other workload, describe it as a Spec and use
-// NewEngineSpec.
-func NewEngine(course Course, craneSpec crane.Spec, cfg ScoreConfig) *Engine {
-	spec := SpecFromCourse("exam", "Licensing exam", course)
-	spec.Score = cfg
-	e, err := NewEngineSpec(spec, craneSpec)
-	if err != nil {
-		// SpecFromCourse always yields a structurally valid spec.
-		panic(fmt.Sprintf("scenario: %v", err))
-	}
-	return e
-}
-
 // Spec returns the engine's scenario spec.
 func (e *Engine) Spec() Spec { return e.spec }
 
@@ -319,7 +305,7 @@ func (e *Engine) title() string {
 
 // Step advances a single-crane scenario with the latest crane state and
 // returns the events raised; dt is the scenario tick in seconds. It is
-// the legacy shim over StepAll — multi-crane scenarios must supply every
+// StepAll with one state — multi-crane scenarios must supply every
 // carrier's telemetry.
 func (e *Engine) Step(st fom.CraneState, dt float64) []Event {
 	return e.StepAll([]fom.CraneState{st}, dt)

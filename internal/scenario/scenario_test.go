@@ -10,8 +10,21 @@ import (
 	"codsim/internal/mathx"
 )
 
-func newEngine() *Engine {
-	return NewEngine(DefaultCourse(), crane.DefaultSpec(), DefaultScore())
+func newEngine(t *testing.T) *Engine {
+	return newExamEngine(t, DefaultScore())
+}
+
+// newExamEngine builds an engine for the classic exam over the default
+// course, scored by cfg.
+func newExamEngine(t *testing.T, cfg ScoreConfig) *Engine {
+	t.Helper()
+	spec := SpecFromCourse("exam", "Licensing exam", DefaultCourse())
+	spec.Score = cfg
+	e, err := NewEngineSpec(spec, crane.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 // stateAt returns a quiet crane state with the carrier at pos and the hook
@@ -83,7 +96,7 @@ func TestAdvancedCourseGeometry(t *testing.T) {
 }
 
 func TestPhaseFlowHappyPath(t *testing.T) {
-	e := newEngine()
+	e := newEngine(t)
 	if e.Phase() != fom.PhaseIdle {
 		t.Fatalf("initial phase = %v", e.Phase())
 	}
@@ -136,7 +149,7 @@ func TestPhaseFlowHappyPath(t *testing.T) {
 }
 
 func TestBarCollisionDeductsOncePerEpisode(t *testing.T) {
-	e := newEngine()
+	e := newEngine(t)
 	e.Start()
 	st := stateAt(e.course.DriveTarget)
 	e.Step(st, 0.1) // → lifting
@@ -189,7 +202,7 @@ func TestBarCollisionDeductsOncePerEpisode(t *testing.T) {
 }
 
 func TestCargoDroppedMidCourse(t *testing.T) {
-	e := newEngine()
+	e := newEngine(t)
 	e.Start()
 	st := stateAt(e.course.DriveTarget)
 	e.Step(st, 0.1)
@@ -210,7 +223,7 @@ func TestCargoDroppedMidCourse(t *testing.T) {
 }
 
 func TestSafetyAlarmDeduction(t *testing.T) {
-	e := newEngine()
+	e := newEngine(t)
 	e.Start()
 	st := stateAt(e.course.Start)
 	e.Step(st, 0.1)
@@ -241,7 +254,7 @@ func TestSafetyAlarmDeduction(t *testing.T) {
 func TestOvertimePenaltyAndFail(t *testing.T) {
 	cfg := DefaultScore()
 	cfg.PassMark = 99.9 // make any overtime fail
-	e := NewEngine(DefaultCourse(), crane.DefaultSpec(), cfg)
+	e := newExamEngine(t, cfg)
 	e.Start()
 	st := stateAt(e.course.DriveTarget)
 	e.Step(st, 0.1)
@@ -264,7 +277,7 @@ func TestOvertimePenaltyAndFail(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	e := newEngine()
+	e := newEngine(t)
 	e.Start()
 	st := stateAt(e.course.DriveTarget)
 	st.Speed = 99 // trip alarm, lose points
@@ -286,7 +299,7 @@ func TestReset(t *testing.T) {
 func TestScoreFloorsAtZero(t *testing.T) {
 	cfg := DefaultScore()
 	cfg.SafetyAlarm = 1000
-	e := NewEngine(DefaultCourse(), crane.DefaultSpec(), cfg)
+	e := newExamEngine(t, cfg)
 	e.Start()
 	st := stateAt(e.course.Start)
 	st.Speed = 99
@@ -297,7 +310,7 @@ func TestScoreFloorsAtZero(t *testing.T) {
 }
 
 func TestStateMessageUpdates(t *testing.T) {
-	e := newEngine()
+	e := newEngine(t)
 	e.Start()
 	e.Step(stateAt(e.course.Start), 0.1)
 	if msg := e.State().Message; !strings.Contains(msg, "drive") {

@@ -35,7 +35,7 @@ type BatchConfig struct {
 	//     sim-seconds, from the scenario's own course.
 	Timeout time.Duration
 	// Headless skips the federation and couples dynamics, engine and
-	// autopilot directly (trace.Run) — the fast path for smoke sweeps.
+	// autopilot directly (trace.Runner) — the fast path for smoke sweeps.
 	Headless bool
 	// Skill degrades every run's autopilots (reaction lag, overshoot,
 	// widened slack); the zero value is the flawless expert. Sweeping the
@@ -85,7 +85,7 @@ type BatchResult struct {
 
 // RunBatch executes one full federation per scenario spec, Parallel at a
 // time, and reports per-scenario outcomes in input order. This is the
-// cluster-scale counterpart of trace.Run: every run boots the whole
+// cluster-scale counterpart of trace.Runner: every run boots the whole
 // eight-computer COD — displays, sync server, dashboard, motion,
 // instructor, sim PC — on its own in-memory LAN, drives the scenario with
 // the autopilot, and waits for the terminal phase.
@@ -210,8 +210,8 @@ func runOne(ctx context.Context, spec scenario.Spec, cfg BatchConfig, seed int64
 
 // WriteBatchReport renders the score/pass-rate table for a finished batch.
 func WriteBatchReport(w io.Writer, results []BatchResult) {
-	fmt.Fprintf(w, "%-18s %-34s %8s %8s %8s  %s\n",
-		"SCENARIO", "TITLE", "SCORE", "SIM-SEC", "WALL", "VERDICT")
+	fmt.Fprintf(w, "%-18s %-34s %8s %8s %9s  %s\n",
+		"SCENARIO", "TITLE", "SCORE", "SIM-SEC", "WALL-MS", "VERDICT")
 	passed := 0
 	for _, r := range results {
 		verdict := "FAIL"
@@ -222,9 +222,9 @@ func WriteBatchReport(w io.Writer, results []BatchResult) {
 			verdict = "pass"
 			passed++
 		}
-		fmt.Fprintf(w, "%-18s %-34s %8.1f %8.1f %7.1fs  %s\n",
+		fmt.Fprintf(w, "%-18s %-34s %8.1f %8.1f %9.1f  %s\n",
 			r.Scenario, r.Title, r.State.Score, r.State.Elapsed,
-			r.Wall.Seconds(), verdict)
+			float64(r.Wall)/float64(time.Millisecond), verdict)
 	}
 	rate := 0.0
 	if len(results) > 0 {

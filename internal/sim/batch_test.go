@@ -76,14 +76,14 @@ func TestBatchHeadless(t *testing.T) {
 // running any federation.
 func TestBatchReportCountsFailures(t *testing.T) {
 	results := []BatchResult{
-		{Scenario: "a", Passed: true, State: fom.ScenarioState{Score: 90}},
+		{Scenario: "a", Passed: true, State: fom.ScenarioState{Score: 90}, Wall: 3 * time.Millisecond},
 		{Scenario: "b", Err: errors.New("boom")},
 		{Scenario: "c", State: fom.ScenarioState{Phase: fom.PhaseFailed, Score: 12}},
 	}
 	var sb strings.Builder
 	WriteBatchReport(&sb, results)
 	report := sb.String()
-	for _, want := range []string{"pass rate: 1/3 (33%)", "ERROR: boom", "FAIL"} {
+	for _, want := range []string{"pass rate: 1/3 (33%)", "ERROR: boom", "FAIL", "WALL-MS", "      3.0  pass"} {
 		if !strings.Contains(report, want) {
 			t.Errorf("report missing %q:\n%s", want, report)
 		}

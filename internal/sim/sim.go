@@ -285,15 +285,10 @@ func (c *Cluster) ScenarioState() fom.ScenarioState {
 	return c.scenState
 }
 
-// WaitExam blocks until the exam reaches a terminal phase or the timeout
-// elapses.
-func (c *Cluster) WaitExam(timeout time.Duration) (fom.ScenarioState, error) {
-	return c.WaitExamContext(context.Background(), timeout)
-}
-
-// WaitExamContext is WaitExam with cancellation: a canceled context stops
-// the wait and returns ctx.Err() with the last observed state, letting a
-// batch coordinator abandon a run instead of leaking the federation.
+// WaitExamContext blocks until the exam reaches a terminal phase, the
+// timeout elapses, or ctx is done. A canceled context stops the wait and
+// returns ctx.Err() with the last observed state, letting a batch
+// coordinator abandon a run instead of leaking the federation.
 func (c *Cluster) WaitExamContext(ctx context.Context, timeout time.Duration) (fom.ScenarioState, error) {
 	deadline := time.Now().Add(timeout)
 	for {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -117,9 +118,9 @@ func TestClusterExamCompletes(t *testing.T) {
 	}
 	defer c.Stop()
 
-	final, err := c.WaitExam(180 * time.Second)
+	final, err := c.WaitExamContext(context.Background(), 180*time.Second)
 	if err != nil {
-		t.Fatalf("WaitExam: %v (phase %v, msg %q)", err, final.Phase, final.Message)
+		t.Fatalf("WaitExamContext: %v (phase %v, msg %q)", err, final.Phase, final.Message)
 	}
 	if final.Phase != fom.PhaseComplete {
 		t.Fatalf("exam phase = %v, score %.1f, msg %q", final.Phase, final.Score, final.Message)

@@ -1,6 +1,7 @@
 package timesync
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -70,7 +71,9 @@ func TestConservativeDeliveryOverCB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.WaitMatched(5 * time.Second) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if sub.WaitMatchedContext(ctx) != nil {
 		t.Fatal("no channel")
 	}
 	// Wait until BOTH publishers have channels.

@@ -7,8 +7,11 @@
 //
 // The package is deliberately small: an InputSet tracking per-channel
 // clocks, a Regulator stamping outgoing messages with lookahead, and an
-// EventQueue for timestamp-ordered processing. Together they form the
-// conservative kernel used by the dynamics↔scenario loop of the simulator.
+// EventQueue for timestamp-ordered processing. Nothing in the simulator
+// imports it yet: the federation's LPs are wall-clock paced (package lp)
+// and read conflated latest-value state, so this conservative kernel is
+// exercised only by its own tests, including a federate test over real
+// CB channels.
 package timesync
 
 import (

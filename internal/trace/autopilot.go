@@ -1,3 +1,11 @@
+// Package trace supplies the simulator's operator inputs: a closed-loop
+// Autopilot that stands in for the human trainee — it drives the carrier
+// to the test ground, works the boom through the licensing trajectory of
+// Fig. 9, and sets the cargo back down — with skill profiles that make it
+// fly like a novice or an intermediate, and the headless Runner that
+// couples autopilots, dynamics and the scenario engine at 60 Hz. Together
+// they provide a repeatable workload for the scoring and performance
+// experiments.
 package trace
 
 import (
@@ -72,12 +80,6 @@ func (a *Autopilot) SetSkill(p SkillProfile) { a.skill = p }
 
 // Crane returns the assigned carrier index.
 func (a *Autopilot) Crane() int { return a.crane }
-
-// NewAutopilot builds an autopilot for the classic linear exam over the
-// course. For any other workload use New with a Spec.
-func NewAutopilot(course scenario.Course) *Autopilot {
-	return New(scenario.SpecFromCourse("exam", "Licensing exam", course))
-}
 
 // estimatePickups walks the phase graph in list order tracking where each
 // cargo rests, so a lift that follows a place of the same cargo aims at

@@ -3,35 +3,18 @@ package trace
 import (
 	"testing"
 
-	"codsim/internal/crane"
-	"codsim/internal/dynamics"
 	"codsim/internal/fom"
 	"codsim/internal/mathx"
 	"codsim/internal/scenario"
-	"codsim/internal/terrain"
 )
 
 // TestAutopilotCompletesExam is the closed-loop end-to-end check: the
 // synthetic trainee must drive to the test ground, lift the cargo, carry
 // it through the whole trajectory and set it back down, passing the exam.
 func TestAutopilotCompletesExam(t *testing.T) {
-	ter, err := terrain.GenerateSite(terrain.DefaultSite())
-	if err != nil {
-		t.Fatal(err)
-	}
 	course := scenario.DefaultCourse()
-	model, err := dynamics.New(dynamics.DefaultConfig(), ter,
-		course.Start, course.StartYaw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cargoPos := course.Circle
-	cargoPos.Y = ter.HeightAt(cargoPos.X, cargoPos.Z) + 0.6
-	model.PlaceCargo(cargoPos, course.CargoMass)
-
-	eng := scenario.NewEngine(course, crane.DefaultSpec(), scenario.DefaultScore())
-	eng.Start()
-	ap := NewAutopilot(course)
+	rig := newCourseRig(t, course)
+	model, eng, ap := rig.model, rig.eng, rig.ap
 
 	const (
 		dt     = 1.0 / 60
@@ -77,22 +60,9 @@ func TestAutopilotCompletesExam(t *testing.T) {
 // TestAutopilotCompletesAdvancedCourse proves the harder shipped course
 // (six bars, heavier cargo, tighter gates) is actually completable.
 func TestAutopilotCompletesAdvancedCourse(t *testing.T) {
-	ter, err := terrain.GenerateSite(terrain.DefaultSite())
-	if err != nil {
-		t.Fatal(err)
-	}
 	course := scenario.AdvancedCourse()
-	model, err := dynamics.New(dynamics.DefaultConfig(), ter, course.Start, course.StartYaw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cargoPos := course.Circle
-	cargoPos.Y = ter.HeightAt(cargoPos.X, cargoPos.Z) + 0.6
-	model.PlaceCargo(cargoPos, course.CargoMass)
-
-	eng := scenario.NewEngine(course, crane.DefaultSpec(), scenario.DefaultScore())
-	eng.Start()
-	ap := NewAutopilot(course)
+	rig := newCourseRig(t, course)
+	model, eng, ap := rig.model, rig.eng, rig.ap
 
 	const dt = 1.0 / 60
 	var simT float64
@@ -120,7 +90,7 @@ func TestAutopilotCompletesAdvancedCourse(t *testing.T) {
 // TestAutopilotIdleAndDone covers the trivial phases.
 func TestAutopilotIdleAndDone(t *testing.T) {
 	course := scenario.DefaultCourse()
-	ap := NewAutopilot(course)
+	ap := New(scenario.SpecFromCourse("exam", "Licensing exam", course))
 	in := ap.Control(fom.CraneState{}, fom.ScenarioState{Phase: fom.PhaseIdle}, 0.1)
 	if !in.Ignition {
 		t.Error("idle should keep ignition on")
@@ -135,7 +105,7 @@ func TestAutopilotIdleAndDone(t *testing.T) {
 // steering sense without running the full exam.
 func TestAutopilotDriveSteersTowardTarget(t *testing.T) {
 	course := scenario.DefaultCourse()
-	ap := NewAutopilot(course)
+	ap := New(scenario.SpecFromCourse("exam", "Licensing exam", course))
 	// Carrier north-west of the target, facing north (away): must steer
 	// hard to come about, with throttle applied.
 	st := fom.CraneState{Position: mathx.V3(course.DriveTarget.X-50, 0, course.DriveTarget.Z-50)}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"testing"
 
 	"codsim/internal/fom"
@@ -27,7 +28,7 @@ func TestLibraryScenariosComplete(t *testing.T) {
 			if err := spec.Validate(); err != nil {
 				t.Fatalf("Validate: %v", err)
 			}
-			res, err := Run(spec, 900)
+			res, err := RunSkill(context.Background(), spec, 900, SkillProfile{})
 			if err != nil {
 				t.Fatal(err)
 			}

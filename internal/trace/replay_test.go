@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
 
 	"codsim/internal/crane"
@@ -11,19 +10,21 @@ import (
 	"codsim/internal/terrain"
 )
 
-// examRig bundles one fresh headless exam setup.
-type examRig struct {
+// courseRig is one fresh single-crane rig on a freshly generated site,
+// with the engine started on a course's classic exam and an autopilot to
+// fly it.
+type courseRig struct {
 	model *dynamics.Model
 	eng   *scenario.Engine
+	ap    *Autopilot
 }
 
-func newExamRig(t *testing.T) *examRig {
+func newCourseRig(t *testing.T, course scenario.Course) *courseRig {
 	t.Helper()
 	ter, err := terrain.GenerateSite(terrain.DefaultSite())
 	if err != nil {
 		t.Fatal(err)
 	}
-	course := scenario.DefaultCourse()
 	model, err := dynamics.New(dynamics.DefaultConfig(), ter, course.Start, course.StartYaw)
 	if err != nil {
 		t.Fatal(err)
@@ -31,68 +32,50 @@ func newExamRig(t *testing.T) *examRig {
 	cargoPos := course.Circle
 	cargoPos.Y = ter.HeightAt(cargoPos.X, cargoPos.Z) + 0.6
 	model.PlaceCargo(cargoPos, course.CargoMass)
-	eng := scenario.NewEngine(course, crane.DefaultSpec(), scenario.DefaultScore())
+	spec := scenario.SpecFromCourse("exam", "Licensing exam", course)
+	eng, err := scenario.NewEngineSpec(spec, crane.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng.Start()
-	return &examRig{model: model, eng: eng}
+	return &courseRig{model: model, eng: eng, ap: New(spec)}
 }
 
-// TestRecordedExamReplaysIdentically records the autopilot's control frames
-// during a live exam, serializes the trace, reads it back, and replays it
-// into a completely fresh simulation: because the physics is deterministic
-// fixed-step, the replay must reproduce the same final phase, score and
-// collision count — the property that makes recorded training sessions
-// reviewable.
+// TestRecordedExamReplaysIdentically records the autopilot's control frame
+// for every tick of a live exam and replays them into a completely fresh
+// simulation: because the physics is deterministic fixed-step, the replay
+// must reproduce the same final phase, score, collision count and crane
+// position.
 func TestRecordedExamReplaysIdentically(t *testing.T) {
 	const dt = 1.0 / 60
 	course := scenario.DefaultCourse()
 
 	// --- Live run with recording. ---
-	live := newExamRig(t)
-	ap := NewAutopilot(course)
-	var rec Recorder
-	var liveFinal fom.ScenarioState
+	live := newCourseRig(t, course)
+	var inputs []fom.ControlInput
 	for simT := 0.0; simT < 600; simT += dt {
 		scen := live.eng.State()
 		if scen.Phase == fom.PhaseComplete || scen.Phase == fom.PhaseFailed {
 			break
 		}
-		in := ap.Control(live.model.State(), scen, dt)
-		rec.Record(simT, in)
+		in := live.ap.Control(live.model.State(), scen, dt)
+		inputs = append(inputs, in)
 		live.model.Step(in, dt)
 		live.eng.Step(live.model.State(), dt)
 	}
-	liveFinal = live.eng.State()
+	liveFinal := live.eng.State()
 	if liveFinal.Phase != fom.PhaseComplete {
 		t.Fatalf("live run did not complete: %v", liveFinal.Phase)
 	}
-
-	// --- Serialize and reload. ---
-	var buf bytes.Buffer
-	if err := Write(&buf, rec.Trace()); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() == 0 {
-		t.Fatal("empty recorded trace")
-	}
-	t.Logf("recorded %d control samples over %.1f s", tr.Len(), tr.Duration())
+	t.Logf("recorded %d control frames", len(inputs))
 
 	// --- Replay into a fresh world. ---
-	replay := newExamRig(t)
-	var replayFinal fom.ScenarioState
-	for simT := 0.0; simT < 600; simT += dt {
-		scen := replay.eng.State()
-		if scen.Phase == fom.PhaseComplete || scen.Phase == fom.PhaseFailed {
-			break
-		}
-		in := tr.At(simT)
+	replay := newCourseRig(t, course)
+	for _, in := range inputs {
 		replay.model.Step(in, dt)
 		replay.eng.Step(replay.model.State(), dt)
 	}
-	replayFinal = replay.eng.State()
+	replayFinal := replay.eng.State()
 
 	if replayFinal.Phase != liveFinal.Phase {
 		t.Errorf("replay phase = %v, live = %v", replayFinal.Phase, liveFinal.Phase)

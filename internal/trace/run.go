@@ -13,9 +13,9 @@ import (
 )
 
 // ErrIncomplete marks a run that reached neither terminal phase within its
-// sim-time budget: the trainee was still working when time ran out. Run's
-// timeout error wraps it, so callers can tell "did not finish" apart from
-// setup failures and cancellation with errors.Is.
+// sim-time budget: the trainee was still working when time ran out.
+// RunSkill's timeout error wraps it, so callers can tell "did not finish"
+// apart from setup failures and cancellation with errors.Is.
 var ErrIncomplete = errors.New("scenario incomplete within sim-time budget")
 
 // ErrStalled marks a dry-run aborted by the early-exit check: no crane's
@@ -67,28 +67,18 @@ type Runner struct {
 // constructor exists for call-site clarity.
 func NewRunner() *Runner { return &Runner{} }
 
-// Run executes a scenario spec headless — one dynamics rig and one
+// RunSkill executes a scenario spec headless — one dynamics rig and one
 // autopilot per declared crane coupled directly to the engine at 60 Hz,
 // no federation — until the scenario reaches a terminal phase or maxSim
-// simulated seconds elapse. This is the fast path for regression tables
-// and batch smoke runs; the cluster path in package sim runs the same
-// spec across the full federation.
-func Run(spec scenario.Spec, maxSim float64) (RunResult, error) {
-	return RunContext(context.Background(), spec, maxSim)
-}
-
-// RunContext is Run with cancellation: a canceled context stops the
-// stepping loop within one simulated second and returns ctx.Err() with the
-// state reached so far, so a batch coordinator can abandon a shard without
-// waiting out its sim-time budget.
-func RunContext(ctx context.Context, spec scenario.Spec, maxSim float64) (RunResult, error) {
-	return RunSkill(ctx, spec, maxSim, SkillProfile{})
-}
-
-// RunSkill is RunContext with a trainee skill profile: every crane's
-// autopilot flies with the given sloppiness (the zero profile is the
-// classic expert). Sweeping the presets over a scenario matrix yields
-// realistic score distributions instead of near-perfect runs.
+// simulated seconds elapse. Every crane's autopilot flies with the given
+// trainee skill profile (the zero profile is the classic expert);
+// sweeping the presets over a scenario matrix yields realistic score
+// distributions instead of near-perfect runs. A canceled context stops
+// the stepping loop within one simulated second and returns ctx.Err()
+// with the state reached so far. This is the fast path for regression
+// tables and batch runs; the cluster path in package sim runs the same
+// spec across the full federation. Callers running many scenarios reuse
+// one Runner instead.
 func RunSkill(ctx context.Context, spec scenario.Spec, maxSim float64, skill SkillProfile) (RunResult, error) {
 	return (&Runner{}).RunSkill(ctx, spec, maxSim, skill)
 }

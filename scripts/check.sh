@@ -41,6 +41,13 @@ go test ./...
 echo "== go test -race =="
 go test -race ./...
 
+# perfbench is its own module (replace codsim => ../), so the root
+# ./... patterns never compile it; it calls trace.RunSkill,
+# Cluster.WaitExamContext and Coordinator.RunStream directly.
+echo "== perfbench module (vet + test) =="
+go -C perfbench vet ./...
+go -C perfbench test ./...
+
 echo "== bench smoke (1 iteration) =="
 go test -bench . -benchtime 1x -run '^$' ./...
 
